@@ -79,7 +79,7 @@ int main() {
   // from day 90 to day 150 (say, a dead power supply over the summer).
   net::FaultConfig fault_config;
   fault_config.loss_rate = 0.10;
-  net::FaultModel faults(fault_config, root.split(), kPeers);
+  net::FaultModel faults(fault_config, root.split());
   network.set_fault_model(&faults);
   net::OutageLinkFilter outage(simulator, net::NodeId{13}, sim::SimTime::days(90),
                                sim::SimTime::days(150));

@@ -151,10 +151,6 @@ std::function<void(net::NodeId, const protocol::PollOutcome&)> PolicyEngine::obs
   };
 }
 
-void PolicyEngine::on_alarm_observed(net::NodeId /*poller*/, sim::SimTime observed_at) {
-  on_trigger_at(PolicyTrigger::kAlarm, observed_at);
-}
-
 void PolicyEngine::on_churn_sample(sim::SimTime at, uint32_t offline_count) {
   if (established_ == 0) {
     return;

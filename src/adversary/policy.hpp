@@ -41,11 +41,9 @@
 // scenario seed (kPolicyStreamTag) — never a root split — so installing a
 // policy engine (even an inert one) shifts no other stream; policy-free
 // configs reproduce the golden corpus byte for byte. Alarm observations
-// arrive through the same serial-or-barrier plumbing as operator alarms
-// (docs/sharding.md); sensor ticks and churn samples run on the global
-// context with every shard quiesced. All scheduled reactions are ordinary
-// simulator events, so enabled-policy runs are bit-identical across shard
-// and worker counts too.
+// arrive through the poll-observer chain, like operator alarms. All
+// scheduled reactions are ordinary simulator events, so enabled-policy
+// runs are bit-identical across worker counts too.
 #ifndef LOCKSS_ADVERSARY_POLICY_HPP_
 #define LOCKSS_ADVERSARY_POLICY_HPP_
 
@@ -163,19 +161,13 @@ class PolicyEngine {
   std::function<void(net::NodeId, const protocol::PollOutcome&)> observer(
       std::function<void(net::NodeId, const protocol::PollOutcome&)> next = nullptr);
 
-  // Sharded-run entry point: an alarm raised on a shard at `observed_at`,
-  // reported at the next barrier. The reaction still lands at
-  // observed_at + reaction_latency (sharding_supported() guarantees the
-  // latency covers the barrier lookahead).
-  void on_alarm_observed(net::NodeId poller, sim::SimTime observed_at);
-
   // Churn-transition feed (the scenario calls this from the churn model's
-  // transition hook, on the global context): the current offline count of
+  // transition hook): the current offline count of
   // the established population after the transition applied.
   void on_churn_sample(sim::SimTime at, uint32_t offline_count);
 
   // Trace hooks (docs/observability.md): fired per rule trigger and per
-  // applied action, on the global context.
+  // applied action.
   void set_trigger_hook(std::function<void(PolicyTrigger, uint32_t)> hook) {
     trigger_hook_ = std::move(hook);
   }

@@ -854,9 +854,8 @@ bool parse_spec(const Json& json, const std::string& source_path, Spec* out,
       return f.fail(faults->line, "jitter_ms", "must be non-negative");
     }
     if (jitter_ms > 0.0 && out->network.min_latency <= sim::SimTime::zero()) {
-      // Jitter rides on top of the propagation latency; with a zero
-      // minimum there is no delay floor for the sharded lookahead contract
-      // to stand on (docs/faults.md).
+      // Jitter rides on top of the propagation latency; a zero minimum
+      // leaves it no delay floor (docs/faults.md).
       return f.fail(faults->line, "jitter_ms",
                     "jitter needs network.min_latency_ms > 0 (zero-latency networks have no "
                     "delay floor for delivery jitter to ride on)");

@@ -33,16 +33,7 @@ void OperatorResponseEngine::on_peer_recovered(peer::Peer& peer) {
   on_trigger(OperatorTrigger::kRecovery, peer.id());
 }
 
-void OperatorResponseEngine::on_alarm_observed(net::NodeId poller, sim::SimTime observed_at) {
-  on_trigger_at(OperatorTrigger::kAlarm, poller, observed_at);
-}
-
 void OperatorResponseEngine::on_trigger(OperatorTrigger trigger, net::NodeId peer) {
-  on_trigger_at(trigger, peer, simulator_.now());
-}
-
-void OperatorResponseEngine::on_trigger_at(OperatorTrigger trigger, net::NodeId peer,
-                                           sim::SimTime observed_at) {
   if (!peers_.contains(peer)) {
     return;  // unattended (e.g. a hand-built host in tests)
   }
@@ -53,7 +44,7 @@ void OperatorResponseEngine::on_trigger_at(OperatorTrigger trigger, net::NodeId 
     if (policy.trigger != trigger) {
       continue;
     }
-    simulator_.schedule_at(observed_at + config_.detection_latency,
+    simulator_.schedule_at(simulator_.now() + config_.detection_latency,
                            [this, policy, peer] { apply(policy, peer); });
   }
 }

@@ -64,19 +64,10 @@ class OperatorResponseEngine {
   void on_peer_recovered(peer::Peer& peer);
 
   // Optional observer invoked after every applied intervention (the
-  // scenario's trace hook, docs/observability.md). Interventions run on the
-  // global context, so the hook may record into the global event sink.
+  // scenario's trace hook, docs/observability.md).
   void set_action_hook(std::function<void(OperatorAction, net::NodeId)> hook) {
     action_hook_ = std::move(hook);
   }
-
-  // Sharded-run entry point (docs/sharding.md): an alarm raised on a shard
-  // at `observed_at`, reported at the next shard barrier. The intervention
-  // still lands at observed_at + detection_latency — the same instant the
-  // serial observer() chain schedules — because on_trigger draws no
-  // randomness and detection latencies dwarf the barrier lookahead (the
-  // scenario runner falls back to the serial path otherwise).
-  void on_alarm_observed(net::NodeId poller, sim::SimTime observed_at);
 
   // --- Pure reads ----------------------------------------------------------
   uint64_t triggers_seen() const { return triggers_seen_; }
@@ -88,7 +79,6 @@ class OperatorResponseEngine {
 
  private:
   void on_trigger(OperatorTrigger trigger, net::NodeId peer);
-  void on_trigger_at(OperatorTrigger trigger, net::NodeId peer, sim::SimTime observed_at);
   void apply(const OperatorPolicy& policy, net::NodeId peer);
 
   sim::Simulator& simulator_;

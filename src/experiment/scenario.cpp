@@ -1,9 +1,7 @@
 #include "experiment/scenario.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 
 #include "adversary/admission_flood.hpp"
@@ -15,93 +13,13 @@
 #include "net/fault_injection.hpp"
 #include "net/network.hpp"
 #include "net/node_slot_registry.hpp"
-#include "net/shard_bus.hpp"
 #include "peer/peer.hpp"
-#include "sim/sharded_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace lockss::experiment {
 
-namespace {
-
-std::atomic<uint32_t> g_default_shards_override{0};
-
-// An alarm seen on a shard, reported to the operator engine at the next
-// barrier (docs/sharding.md).
-struct AlarmObservation {
-  sim::SimTime at;
-  net::NodeId poller;
-};
-
-// Everything the sharded execution path adds on top of the serial scenario:
-// the engine (one Simulator per shard + one global), the network delivery
-// bus, per-shard metric logs fronted by log-mode collectors, and per-shard
-// alarm buffers. Null on the serial path.
-struct ShardRuntime {
-  sim::ShardedEngine engine;
-  net::EngineShardBus bus;
-  std::vector<metrics::MetricLog> logs;
-  std::vector<metrics::MetricsCollector> shard_collectors;
-  std::vector<std::vector<AlarmObservation>> alarms;
-
-  ShardRuntime(uint32_t shards, uint32_t owned_ids, sim::SimTime lookahead)
-      : engine(sim::ShardPlan::block_partition(shards, owned_ids), lookahead),
-        bus(engine),
-        logs(shards),
-        shard_collectors(shards),
-        alarms(shards) {}
-};
-
-}  // namespace
-
-uint32_t default_shards() {
-  const uint32_t override = g_default_shards_override.load(std::memory_order_relaxed);
-  if (override > 0) {
-    return override;
-  }
-  if (const char* env = std::getenv("LOCKSS_SHARDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) {
-      return static_cast<uint32_t>(v);
-    }
-  }
-  return 1;
-}
-
-void set_default_shards(uint32_t shards) {
-  g_default_shards_override.store(shards, std::memory_order_relaxed);
-}
-
-bool sharding_supported(const ScenarioConfig& config) {
-  // An external poll observer expects the serial calling convention (called
-  // at the poll-conclusion instant, in global order); sharded runs would
-  // invoke it from worker threads.
-  if (config.poll_observer) {
-    return false;
-  }
-  // The sharded engine's lookahead is the network's minimum latency — a
-  // strict lower bound on every cross-shard delay. A zero (or negative)
-  // minimum leaves no lookahead window, so those configs run serial.
-  if (config.network.min_latency <= sim::SimTime::zero()) {
-    return false;
-  }
-  // Operator alarms are reported at shard barriers, so an intervention can
-  // only land at its serial instant if the detection latency reaches past
-  // the barrier lookahead (real latencies are hours-to-days; the lookahead
-  // is the network's minimum latency, one millisecond by default).
-  if (config.operators.enabled() &&
-      config.operators.detection_latency < config.network.min_latency) {
-    return false;
-  }
-  // The adversary policy engine observes alarms through the same barrier
-  // plumbing; its reaction latency must cover the lookahead for the same
-  // reason.
-  if (config.adversary_policy.enabled() &&
-      config.adversary_policy.reaction_latency < config.network.min_latency) {
-    return false;
-  }
-  return true;
-}
+// See the header: perfbench/driver.cpp is the only caller.
+void set_default_shards(uint32_t /*shards*/) {}
 
 adversary::AdversaryPipeline canonical_pipeline(const AdversarySpec& spec) {
   adversary::AdversaryPipeline pipeline;
@@ -149,16 +67,7 @@ adversary::AdversaryPipeline effective_pipeline(const AdversarySpec& spec) {
   return spec.pipeline.empty() ? canonical_pipeline(spec) : spec.pipeline;
 }
 
-namespace {
-
-// The one scenario body, serial and sharded: `shards` <= 1 runs the
-// pre-sharding serial path untouched (rt stays null and every wiring point
-// below collapses to the old code); `shards` > 1 builds a ShardRuntime and
-// reroutes peers' simulators, metrics, network deliveries, and operator
-// alarms through it. Construction order — and with it the root-RNG split
-// sequence — is identical either way, which is what makes the sharded
-// result bit-identical to the serial one (tests/sharding_identity_test).
-RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
+RunResult run_scenario(const ScenarioConfig& config) {
   // Wall-clock self-profiling (docs/observability.md). Reads of the host
   // clock never touch simulation state, so profiling cannot perturb the
   // deterministic result; the numbers are reporting only.
@@ -166,7 +75,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   obs::Stopwatch phase_watch;
   obs::RunProfile profile;
 
-  sim::Simulator serial_sim;
+  sim::Simulator simulator;
   sim::Rng root(config.seed);
   // Deployment dynamics draw first: one root split per enabled stream
   // (churn, operators), taken before anything else so the arrival count is
@@ -195,25 +104,12 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   }
   const uint32_t arrival_count = churn_schedule.arrival_count;
 
-  // Sharded runtime (null = serial). The owned ids — established peers,
-  // newcomers, and the whole churn arrival schedule — partition into
-  // contiguous NodeId blocks, one per shard; every other identity
-  // (adversary minions, spoofed floods) lives in the engine's global
-  // context. The lookahead is the network's minimum latency: a strict
-  // lower bound on every cross-shard interaction delay.
+  // The loyal ids — established peers, newcomers, and the whole churn
+  // arrival schedule — form the dense range [0, owned_ids); adversary
+  // minions and spoofed floods sit above it.
   const uint32_t owned_ids = config.peer_count + config.newcomer_count + arrival_count;
-  std::unique_ptr<ShardRuntime> rt;
-  if (shards > 1 && owned_ids > 0) {
-    rt = std::make_unique<ShardRuntime>(shards, owned_ids, config.network.min_latency);
-  }
-  // Global actors — the adversary fleet, churn, operators, trace ticks —
-  // and the whole serial path drive this simulator.
-  sim::Simulator& simulator = rt != nullptr ? rt->engine.global_sim() : serial_sim;
 
   net::Network network(simulator, root.split(), config.network);
-  if (rt != nullptr) {
-    network.set_shard_bus(&rt->bus);
-  }
   // Unreliable-link fault layer. Its RNG is a domain-separated hash of the
   // scenario seed — NOT a root split — so installing the model (even an
   // inert one) shifts no other stream: a zero-fault run is byte-identical
@@ -223,65 +119,22 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   std::unique_ptr<net::FaultModel> fault_model;
   if (config.faults.enabled()) {
     fault_model = std::make_unique<net::FaultModel>(
-        config.faults, sim::Rng(sim::splitmix64_mix(config.seed ^ kFaultStreamTag)), owned_ids);
+        config.faults, sim::Rng(sim::splitmix64_mix(config.seed ^ kFaultStreamTag)));
     network.set_fault_model(fault_model.get());
   }
   // Protocol event tracing (docs/observability.md). The log takes no RNG
   // split and sampling is a pure hash, so enabling it shifts no stream; a
   // disabled config constructs nothing and every hook site stays a null
-  // check. Sharded runs get one sink per shard plus the global sink (last),
-  // drained at every barrier; serial runs record into a single sink. The
-  // dense owned-id range (peers + newcomers + arrivals) bounds the
-  // peer-domain ids for fault-event tagging.
+  // check. The dense owned-id range bounds the peer-domain ids for
+  // fault-event tagging.
   std::unique_ptr<obs::EventLog> event_log;
-  obs::EventSink* global_events = nullptr;
+  obs::EventSink* events = nullptr;
   if (config.obs_trace.enabled) {
-    const size_t sink_count = rt != nullptr ? static_cast<size_t>(shards) + 1 : 1;
-    event_log = std::make_unique<obs::EventLog>(config.obs_trace, sink_count, owned_ids);
-    global_events = event_log->global_sink();
-    if (rt != nullptr) {
-      rt->bus.set_event_log(event_log.get());
-      rt->engine.add_barrier_hook([log = event_log.get()] { log->drain(); });
-    } else {
-      network.set_event_sink(event_log->sink(0));
-    }
-  }
-  if (config.obs_profile && rt != nullptr) {
-    rt->engine.set_profile(&profile.engine);
+    event_log = std::make_unique<obs::EventLog>(config.obs_trace, owned_ids);
+    events = event_log->sink();
+    network.set_event_sink(events);
   }
   metrics::MetricsCollector collector;
-  if (rt != nullptr) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      rt->shard_collectors[s].set_log_mode(&collector, &rt->logs[s],
-                                           &rt->engine.shard_sim(s));
-    }
-    // Barrier hook: replay the per-shard metric logs into the master in
-    // (time, shard) order — the serial accumulation order, because shard
-    // order is NodeId-block order (docs/sharding.md). Within a shard the
-    // log is already time-sorted (events execute in time order).
-    rt->engine.add_barrier_hook([rtp = rt.get(), collector_ptr = &collector] {
-      auto& logs = rtp->logs;
-      std::vector<size_t> idx(logs.size(), 0);
-      for (;;) {
-        size_t best = logs.size();
-        for (size_t s = 0; s < logs.size(); ++s) {
-          if (idx[s] >= logs[s].size()) {
-            continue;
-          }
-          if (best == logs.size() || logs[s][idx[s]].at < logs[best][idx[best]].at) {
-            best = s;
-          }
-        }
-        if (best == logs.size()) {
-          break;
-        }
-        collector_ptr->apply(logs[best][idx[best]++]);
-      }
-      for (auto& log : logs) {
-        log.clear();
-      }
-    });
-  }
   // Deployment-wide identity registry behind the dense per-AU substrates.
   // Registration happens entirely at setup, in ascending NodeId order
   // (loyal peers, newcomers, churn arrivals — the *whole* arrival schedule,
@@ -290,7 +143,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   // slot order equal NodeId order and keeps every substrate walk
   // seed-identical).
   net::NodeSlotRegistry registry;
-  for (uint32_t p = 0; p < config.peer_count + config.newcomer_count + arrival_count; ++p) {
+  for (uint32_t p = 0; p < owned_ids; ++p) {
     registry.register_node(net::NodeId{p});
   }
 
@@ -310,44 +163,6 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
     policy_engine = std::make_unique<adversary::PolicyEngine>(
         simulator, config.adversary_policy, config.seed);
   }
-  if (rt != nullptr && (operators_engine != nullptr || policy_engine != nullptr)) {
-    // Barrier hook: report the alarms each shard buffered during the last
-    // window, merged by (time, shard) — the serial trigger order — to the
-    // operator engine and the adversary policy engine alike. The
-    // reactions still land at their serial instants because triggers
-    // draw no randomness and schedule at observed_at + latency
-    // (>= the barrier time whenever the latency covers the lookahead,
-    // which sharding_supported() guarantees for both engines).
-    rt->engine.add_barrier_hook([rtp = rt.get(), eng = operators_engine.get(),
-                                 pol = policy_engine.get()] {
-      auto& bufs = rtp->alarms;
-      std::vector<size_t> idx(bufs.size(), 0);
-      for (;;) {
-        size_t best = bufs.size();
-        for (size_t s = 0; s < bufs.size(); ++s) {
-          if (idx[s] >= bufs[s].size()) {
-            continue;
-          }
-          if (best == bufs.size() || bufs[s][idx[s]].at < bufs[best][idx[best]].at) {
-            best = s;
-          }
-        }
-        if (best == bufs.size()) {
-          break;
-        }
-        const AlarmObservation& obs = bufs[best][idx[best]++];
-        if (eng != nullptr) {
-          eng->on_alarm_observed(obs.poller, obs.at);
-        }
-        if (pol != nullptr) {
-          pol->on_alarm_observed(obs.poller, obs.at);
-        }
-      }
-      for (auto& buf : bufs) {
-        buf.clear();
-      }
-    });
-  }
 
   peer::PeerEnvironment env;
   env.simulator = &simulator;
@@ -359,49 +174,16 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   env.damage = config.damage;
   env.enable_damage = config.enable_damage;
   env.retain_schedule_history = config.collect_schedule_history;
-  // Serial runs share the one sink; sharded runs assign per-shard sinks in
-  // env_for below.
-  env.events = (event_log != nullptr && rt == nullptr) ? event_log->sink(0) : nullptr;
-  // Sharded runs report alarms through the per-shard barrier buffers
-  // instead of the inline observer chain (config.poll_observer is empty
-  // there — sharding_supported() falls back to serial otherwise). Serial
-  // runs chain the alarm consumers: the policy engine wraps the operator
+  env.events = events;
+  // Chain the alarm consumers: the policy engine wraps the operator
   // engine's observer, so both see each alarm once, in poll order.
   env.poll_observer = config.poll_observer;
-  if (rt == nullptr) {
-    if (operators_engine != nullptr) {
-      env.poll_observer = operators_engine->observer(env.poll_observer);
-    }
-    if (policy_engine != nullptr) {
-      env.poll_observer = policy_engine->observer(env.poll_observer);
-    }
+  if (operators_engine != nullptr) {
+    env.poll_observer = operators_engine->observer(env.poll_observer);
   }
-
-  // Per-peer environment: a sharded run points each peer at its shard's
-  // simulator and log-mode collector and buffers its alarms; a serial run
-  // hands `env` back untouched.
-  const auto env_for = [&](uint32_t raw_id) {
-    peer::PeerEnvironment e = env;
-    if (rt != nullptr) {
-      const uint32_t shard = rt->engine.context_of(raw_id);
-      e.simulator = &rt->engine.shard_sim(shard);
-      e.metrics = &rt->shard_collectors[shard];
-      if (event_log != nullptr) {
-        e.events = event_log->sink(shard);
-      }
-      if (operators_engine != nullptr || policy_engine != nullptr) {
-        std::vector<AlarmObservation>* alarms = &rt->alarms[shard];
-        sim::Simulator* clock = e.simulator;
-        e.poll_observer = [alarms, clock](net::NodeId poller,
-                                          const protocol::PollOutcome& outcome) {
-          if (outcome.kind == protocol::PollOutcomeKind::kAlarm) {
-            alarms->push_back(AlarmObservation{clock->now(), poller});
-          }
-        };
-      }
-    }
-    return e;
-  };
+  if (policy_engine != nullptr) {
+    env.poll_observer = policy_engine->observer(env.poll_observer);
+  }
 
   // --- Loyal population ------------------------------------------------------
   std::vector<std::unique_ptr<peer::Peer>> peers;
@@ -410,7 +192,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   for (uint32_t p = 0; p < config.peer_count; ++p) {
     const net::NodeId id{p};
     ids.push_back(id);
-    peers.push_back(std::make_unique<peer::Peer>(env_for(p), id, root.split()));
+    peers.push_back(std::make_unique<peer::Peer>(env, id, root.split()));
   }
   std::vector<storage::AuId> aus;
   for (uint32_t a = 0; a < config.au_count; ++a) {
@@ -494,7 +276,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   sim::Rng newcomer_rng = root.split();
   for (uint32_t n = 0; n < config.newcomer_count; ++n) {
     const net::NodeId id{config.peer_count + n};
-    newcomers.push_back(std::make_unique<peer::Peer>(env_for(id.value), id, root.split()));
+    newcomers.push_back(std::make_unique<peer::Peer>(env, id, root.split()));
     peer::Peer* newcomer = newcomers.back().get();
     for (uint32_t a = 0; a < config.au_count; ++a) {
       newcomer->join_au(aus[a]);
@@ -504,9 +286,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
     newcomer->set_friends(newcomer_rng.sample(ids, config.params.friends_list_size));
     const sim::SimTime join_at =
         newcomer_rng.uniform_time(sim::SimTime::zero(), config.newcomer_join_window);
-    // The join event mutates only the newcomer, so it runs on its shard.
-    sim::Simulator& join_sim = rt != nullptr ? rt->engine.sim_of(id.value) : simulator;
-    join_sim.schedule_at(join_at, [newcomer] { newcomer->start(); });
+    simulator.schedule_at(join_at, [newcomer] { newcomer->start(); });
   }
   // Churn arrivals (deployment dynamics): constructed and seeded now — like
   // newcomers, the network must know their addresses and the registry their
@@ -517,7 +297,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   for (uint32_t a = 0; a < arrival_count; ++a) {
     const net::NodeId id{config.peer_count + config.newcomer_count + a};
     arrival_peers.push_back(
-        std::make_unique<peer::Peer>(env_for(id.value), id, churn_rng.split()));
+        std::make_unique<peer::Peer>(env, id, churn_rng.split()));
     peer::Peer* arrival = arrival_peers.back().get();
     for (uint32_t au = 0; au < config.au_count; ++au) {
       arrival->join_au(aus[au]);
@@ -564,7 +344,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   fleet_env.simulator = &simulator;
   fleet_env.network = &network;
   fleet_env.registry = &registry;
-  fleet_env.reserved_low_ids = config.peer_count + config.newcomer_count + arrival_count;
+  fleet_env.reserved_low_ids = owned_ids;
   fleet_env.loyal_ids = ids;
   fleet_env.victims = victim_ptrs;
   fleet_env.aus = aus;
@@ -612,21 +392,18 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
       churn_model->set_recovery_hook(
           [engine = operators_engine.get()](peer::Peer& p) { engine->on_peer_recovered(p); });
     }
-    if (global_events != nullptr || policy_engine != nullptr) {
-      // Churn transitions execute on the global context (shards quiesced),
-      // so they record into the global sink with the domain-0 tag — the
-      // canonical order then sorts them ahead of peer streams at exact
-      // ties, matching the engine's global-first execution rule. Leave/
-      // crash/recover carry established indices, which equal NodeIds;
-      // arrival ordinals offset past the newcomer block. The adversary
-      // policy engine samples the established offline count off the same
-      // hook (an outage-watching adversary sees every transition), which
-      // likewise runs with shards quiesced.
+    if (events != nullptr || policy_engine != nullptr) {
+      // Churn transitions record with the domain-0 tag, so the canonical
+      // order sorts them ahead of peer streams at exact ties. Leave/crash/
+      // recover carry established indices, which equal NodeIds; arrival
+      // ordinals offset past the newcomer block. The adversary policy
+      // engine samples the established offline count off the same hook (an
+      // outage-watching adversary sees every transition).
       const uint32_t arrival_base = config.peer_count + config.newcomer_count;
-      churn_model->set_transition_hook([global_events, arrival_base,
+      churn_model->set_transition_hook([events, arrival_base,
                                         pol = policy_engine.get(),
                                         cm = churn_model.get()](const dynamics::ChurnEvent& ev) {
-        if (global_events != nullptr) {
+        if (events != nullptr) {
           obs::Event e;
           e.time_ns = ev.at.ns();
           switch (ev.kind) {
@@ -647,7 +424,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
           e.origin = ev.kind == dynamics::ChurnEventKind::kArrival ? arrival_base + ev.peer
                                                                    : ev.peer;
           e.domain = 0;
-          global_events->record(e);
+          events->record(e);
         }
         if (pol != nullptr && ev.kind != dynamics::ChurnEventKind::kArrival) {
           pol->on_churn_sample(ev.at, cm->offline_count());
@@ -656,42 +433,38 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
     }
     churn_model->start();
   }
-  if (global_events != nullptr && operators_engine != nullptr) {
-    // Operator interventions likewise run on the global context.
+  if (events != nullptr && operators_engine != nullptr) {
     operators_engine->set_action_hook(
-        [global_events, clock = &simulator](dynamics::OperatorAction action, net::NodeId peer) {
+        [events, clock = &simulator](dynamics::OperatorAction action, net::NodeId peer) {
           obs::Event e;
           e.time_ns = clock->now().ns();
           e.arg = static_cast<uint64_t>(action);
           e.origin = static_cast<uint32_t>(peer.value);
           e.kind = obs::EventKind::kOperatorAction;
           e.domain = 0;
-          global_events->record(e);
+          events->record(e);
         });
   }
-  if (global_events != nullptr && policy_engine != nullptr) {
-    // Adversary policy transitions are global-context actors too: triggers
-    // fire from the observer/churn/sensor paths and actions land on the
-    // global simulator, both with shards quiesced.
+  if (events != nullptr && policy_engine != nullptr) {
     policy_engine->set_trigger_hook(
-        [global_events, clock = &simulator](adversary::PolicyTrigger trigger, uint32_t rule) {
+        [events, clock = &simulator](adversary::PolicyTrigger trigger, uint32_t rule) {
           obs::Event e;
           e.time_ns = clock->now().ns();
           e.arg = static_cast<uint64_t>(trigger);
           e.origin = rule;
           e.kind = obs::EventKind::kAdversaryPolicyTrigger;
           e.domain = 0;
-          global_events->record(e);
+          events->record(e);
         });
     policy_engine->set_action_hook(
-        [global_events, clock = &simulator](adversary::PolicyAction action, uint32_t phase) {
+        [events, clock = &simulator](adversary::PolicyAction action, uint32_t phase) {
           obs::Event e;
           e.time_ns = clock->now().ns();
           e.arg = static_cast<uint64_t>(action);
           e.origin = phase;
           e.kind = obs::EventKind::kAdversaryPolicyAction;
           e.domain = 0;
-          global_events->record(e);
+          events->record(e);
         });
   }
 
@@ -727,11 +500,8 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
     point.repairs = collector.repairs();
     point.loyal_effort_seconds = loyal_effort_now();
     point.adversary_effort_seconds = adversary_effort_now();
-    // Robustness counters (fault layer + poll timeouts/retries). Trace
-    // ticks run on the global context with every shard quiesced, so these
-    // cross-shard reads are race-free and bit-identical to serial — the
-    // same argument as loyal_effort_now above.
-    point.faults_injected = network.total_stats().faults_injected();
+    // Robustness counters (fault layer + poll timeouts/retries).
+    point.faults_injected = network.stats().faults_injected();
     uint64_t acks = 0, votes = 0, retries = 0;
     const auto add_robustness = [&](const peer::Peer& p) {
       acks += p.ack_timeouts_total();
@@ -774,11 +544,7 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   // --- Run ---------------------------------------------------------------------
   profile.setup_ms = phase_watch.elapsed_ms();
   phase_watch.reset();
-  if (rt != nullptr) {
-    rt->engine.run_until(config.duration);
-  } else {
-    simulator.run_until(config.duration);
-  }
+  simulator.run_until(config.duration);
   profile.run_ms = phase_watch.elapsed_ms();
   phase_watch.reset();
 
@@ -841,21 +607,15 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
   }
   collector.set_effort_totals(loyal_effort_now(), adversary_effort_now());
   result.report = collector.finalize(config.duration);
-  // total_stats() sums the per-context shards (serial: just stats_); the
-  // sums equal the serial counters. events_processed likewise sums to the
-  // serial count exactly; peak_queue_depth is the one field with no serial
-  // equivalent under sharding (sum of per-queue peaks, an upper bound).
-  const net::NetworkStats net_stats = network.total_stats();
+  const net::NetworkStats& net_stats = network.stats();
   result.messages_delivered = net_stats.messages_delivered;
   result.messages_filtered = net_stats.messages_filtered;
   result.faults_lost = net_stats.messages_lost;
   result.faults_burst_dropped = net_stats.messages_burst_dropped;
   result.faults_duplicated = net_stats.messages_duplicated;
   result.faults_jittered = net_stats.messages_jittered;
-  result.events_processed =
-      rt != nullptr ? rt->engine.events_processed() : simulator.events_processed();
-  result.peak_queue_depth =
-      rt != nullptr ? rt->engine.peak_queue_depth_sum() : simulator.peak_queue_depth();
+  result.events_processed = simulator.events_processed();
+  result.peak_queue_depth = simulator.peak_queue_depth();
   result.adversary_invitations = fleet.invitations();
   result.adversary_admissions = fleet.admissions();
   if (config.collect_schedule_history) {
@@ -875,14 +635,6 @@ RunResult run_scenario_impl(const ScenarioConfig& config, uint32_t shards) {
     result.profile = profile;
   }
   return result;
-}
-
-}  // namespace
-
-RunResult run_scenario(const ScenarioConfig& config) {
-  const uint32_t requested = config.shards != 0 ? config.shards : default_shards();
-  const uint32_t shards = requested > 1 && sharding_supported(config) ? requested : 1;
-  return run_scenario_impl(config, shards);
 }
 
 std::vector<RunResult> run_layered(const ScenarioConfig& config, uint32_t layers) {

@@ -112,8 +112,6 @@ struct ScenarioConfig {
   dynamics::ChurnConfig churn;
   dynamics::OperatorResponseConfig operators;
   // Network topology parameters (§6.2 latency band + bandwidth choices).
-  // The minimum latency doubles as the sharded engine's lookahead; configs
-  // with a zero minimum run serial (sharding_supported()).
   net::NetworkConfig network;
   // Unreliable-link fault layer (net::FaultModel; docs/faults.md): loss,
   // duplication, jitter, burst outages on the delivery path. The model's
@@ -132,23 +130,14 @@ struct ScenarioConfig {
   // so traces obey the same bit-identical determinism contract as the
   // scalar report.
   sim::SimTime trace_interval = sim::SimTime::zero();
-  // Deterministic intra-run sharding (docs/sharding.md): split this run's
-  // peers and event load across `shards` worker threads. 0 picks the
-  // process default (default_shards(), normally 1); 1 runs the unsharded
-  // serial path. Every shard count produces the same RunResult bit for bit
-  // — peak_queue_depth excepted, which becomes a sum of per-queue peaks —
-  // so this is an execution knob, not part of the experiment definition
-  // (campaign specs and manifests never record it).
-  uint32_t shards = 0;
   // Protocol event tracing (docs/observability.md). Disabled (the default)
   // every hook is a cached null check and the run is byte-for-byte the
   // untraced behavior — the golden corpus pins this. Enabled, the trace in
-  // RunResult::obs_events is itself bit-identical across shard and worker
-  // counts. Tracing consumes no RNG (sampling is a pure hash), so it never
+  // RunResult::obs_events is itself bit-identical across worker counts. Tracing consumes no RNG (sampling is a pure hash), so it never
   // perturbs the simulation either way.
   obs::TraceConfig obs_trace;
-  // Wall-clock self-profiling (setup/run/harvest timers, engine barrier
-  // histograms, peak RSS) into RunResult::profile. Non-deterministic by
+  // Wall-clock self-profiling (setup/run/harvest timers, peak RSS) into
+  // RunResult::profile. Non-deterministic by
   // nature; reporting only.
   bool obs_profile = false;
 };
@@ -216,18 +205,10 @@ struct RunResult {
   obs::RunProfile profile;
 };
 
-// Shard count used when ScenarioConfig::shards is 0: the process-wide
-// override if set, else the LOCKSS_SHARDS environment variable (>= 1),
-// else 1 (serial).
-uint32_t default_shards();
-// Process-wide override (CLI tools, benches); 0 restores automatic
-// selection.
+// No-op kept for perfbench/driver.cpp, its only caller, which still passes
+// its --shards option here; runs are always serial. Remove it when the
+// benchmark drops --shards.
 void set_default_shards(uint32_t shards);
-
-// True when the sharded engine can run `config` bit-identically to the
-// serial path; when false (an external poll_observer, or operator latency
-// inside the network lookahead) run_scenario silently runs serial.
-bool sharding_supported(const ScenarioConfig& config);
 
 // Builds and runs one scenario to completion.
 RunResult run_scenario(const ScenarioConfig& config);

@@ -2,39 +2,9 @@
 
 #include <cassert>
 
-#include "sim/simulator.hpp"
-
 namespace lockss::metrics {
 
-void MetricsCollector::set_log_mode(MetricsCollector* master, MetricLog* log,
-                                    sim::Simulator* clock) {
-  assert(master != nullptr && log != nullptr && clock != nullptr);
-  assert(!master->log_mode() && "log-mode collectors must front a real master");
-  master_ = master;
-  log_ = log;
-  clock_ = clock;
-}
-
-void MetricsCollector::apply(const MetricEvent& e) {
-  assert(!log_mode());
-  switch (e.kind) {
-    case MetricEvent::Kind::kDamageStateChange:
-      on_damage_state_change(e.at, e.delta);
-      break;
-    case MetricEvent::Kind::kDamageEvent:
-      on_damage_event();
-      break;
-    case MetricEvent::Kind::kPoll:
-      record_poll(e.poller, e.outcome);
-      break;
-  }
-}
-
 void MetricsCollector::register_peer(net::NodeId id) {
-  if (master_ != nullptr) {
-    master_->register_peer(id);
-    return;
-  }
   const uint32_t rows_before = slots_.peer_count();
   slots_.register_peer(id);
   if (slots_.peer_count() != rows_before) {
@@ -44,10 +14,6 @@ void MetricsCollector::register_peer(net::NodeId id) {
 }
 
 void MetricsCollector::register_au(storage::AuId au) {
-  if (master_ != nullptr) {
-    master_->register_au(au);
-    return;
-  }
   const uint32_t stride_before = slots_.au_count();
   slots_.register_au(au);
   if (slots_.au_count() == stride_before) {
@@ -99,28 +65,16 @@ double MetricsCollector::afp_to_date(sim::SimTime now) const {
 }
 
 void MetricsCollector::on_damage_state_change(sim::SimTime now, int64_t delta) {
-  if (log_ != nullptr) {
-    log_->push_back(MetricEvent{now, MetricEvent::Kind::kDamageStateChange, delta, {}, {}});
-    return;
-  }
   accumulate(now);
   assert(delta >= 0 || damaged_now_ >= static_cast<uint64_t>(-delta));
   damaged_now_ = static_cast<uint64_t>(static_cast<int64_t>(damaged_now_) + delta);
 }
 
 void MetricsCollector::on_damage_event() {
-  if (log_ != nullptr) {
-    log_->push_back(MetricEvent{clock_->now(), MetricEvent::Kind::kDamageEvent, 0, {}, {}});
-    return;
-  }
   ++damage_events_;
 }
 
 void MetricsCollector::record_poll(net::NodeId poller, const protocol::PollOutcome& outcome) {
-  if (log_ != nullptr) {
-    log_->push_back(MetricEvent{clock_->now(), MetricEvent::Kind::kPoll, 0, poller, outcome});
-    return;
-  }
   repairs_ += outcome.repairs;
   switch (outcome.kind) {
     case protocol::PollOutcomeKind::kSuccess: {

@@ -20,6 +20,11 @@
 // allocations. Unregistered ids are registered lazily on first use (the
 // allocation then happens once, outside the steady state), so hand-built
 // collectors in tests and examples keep working without setup calls.
+//
+// Every recording call comes from the run's one simulator, in event order.
+// The damage integral and the observed-gap sum are order-dependent
+// floating-point accumulations, so that single ordered feed is what makes
+// the report bytes reproducible.
 #ifndef LOCKSS_METRICS_COLLECTOR_HPP_
 #define LOCKSS_METRICS_COLLECTOR_HPP_
 
@@ -32,31 +37,7 @@
 #include "sim/time.hpp"
 #include "storage/au.hpp"
 
-namespace lockss::sim {
-class Simulator;
-}
-
 namespace lockss::metrics {
-
-// One recorded collector mutation, for deterministic sharded replay
-// (docs/sharding.md). The §6.1 accumulators include order-dependent
-// floating-point sums (the damage integral, the observed-gap sum), so a
-// sharded run cannot keep per-shard partial sums — different association,
-// different rounding, different bytes. Instead each shard's collector runs
-// in *log mode*: every mutation is appended to the shard's MetricLog
-// stamped with the shard clock, and at every shard barrier the logs are
-// merged by (time, shard, append order) — equal to the serial event order,
-// because shard order is NodeId-block order — and replayed into the one
-// master collector, reproducing the serial accumulation sequence exactly.
-struct MetricEvent {
-  enum class Kind : uint8_t { kDamageStateChange, kDamageEvent, kPoll };
-  sim::SimTime at;
-  Kind kind = Kind::kDamageEvent;
-  int64_t delta = 0;             // kDamageStateChange
-  net::NodeId poller;            // kPoll
-  protocol::PollOutcome outcome;  // kPoll
-};
-using MetricLog = std::vector<MetricEvent>;
 
 struct MetricsReport {
   double access_failure_probability = 0.0;
@@ -108,19 +89,6 @@ class MetricsCollector {
 
   // Poll lifecycle.
   void record_poll(net::NodeId poller, const protocol::PollOutcome& outcome);
-
-  // --- Sharded recording (sim/sharded_engine, docs/sharding.md) -------------
-  // Turns this collector into a logging front-end: mutations append to
-  // `log` stamped with `clock`'s now(), registrations forward to `master`.
-  // The scenario's barrier hook merges the per-shard logs deterministically
-  // and replays them into the master via apply(). Must be called before any
-  // recording; reads on a log-mode collector are meaningless (nothing in
-  // the peer stack reads, only the scenario layer does, on the master).
-  void set_log_mode(MetricsCollector* master, MetricLog* log, sim::Simulator* clock);
-  bool log_mode() const { return log_ != nullptr; }
-
-  // Replays one logged event into this (master) collector.
-  void apply(const MetricEvent& e);
 
   // Effort totals, pushed by the scenario runner at the end of a run.
   void set_effort_totals(double loyal_seconds, double adversary_seconds);
@@ -179,10 +147,6 @@ class MetricsCollector {
   double adversary_effort_seconds_ = 0.0;
   bool finalized_ = false;
 
-  // Log mode (all null on the serial path and on the master).
-  MetricsCollector* master_ = nullptr;
-  MetricLog* log_ = nullptr;
-  sim::Simulator* clock_ = nullptr;
 };
 
 }  // namespace lockss::metrics

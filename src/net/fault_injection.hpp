@@ -21,11 +21,10 @@
 // Both are plain net::LinkFilters: install with Network::add_filter() and
 // keep alive until removed. Binary outages are all a veto filter can say;
 // probabilistic loss, duplication, and jitter live in net::FaultModel
-// (fault_model.hpp), whose per-sender RNG lanes stay deterministic under
-// sim::ShardedEngine — a LinkFilter rolling its own `mutable sim::Rng`
-// (the retired LossLinkFilter) ran its dice once at send and once at
-// delivery in whichever context the event landed, so its outcomes changed
-// with the shard count.
+// (fault_model.hpp), whose per-sender RNG lanes keep each outcome a
+// function of the sender's own send sequence — a LinkFilter rolling its own
+// `mutable sim::Rng` (the retired LossLinkFilter) ran its dice once at send
+// and once at delivery, so unrelated traffic shifted its outcomes.
 #ifndef LOCKSS_NET_FAULT_INJECTION_HPP_
 #define LOCKSS_NET_FAULT_INJECTION_HPP_
 

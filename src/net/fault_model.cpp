@@ -15,27 +15,20 @@ uint64_t lane_seed(uint64_t salt, uint64_t id) {
 
 }  // namespace
 
-FaultModel::FaultModel(const FaultConfig& config, sim::Rng rng, uint32_t dense_sender_count)
+FaultModel::FaultModel(const FaultConfig& config, sim::Rng rng)
     : config_(config), lane_salt_(rng.next_u64()), burst_salt_(rng.next_u64()) {
   assert(config_.loss_rate >= 0.0 && config_.loss_rate <= 1.0);
   assert(config_.dup_rate >= 0.0 && config_.dup_rate <= 1.0);
   assert(config_.burst_outage_rate >= 0.0 && config_.burst_outage_rate <= 1.0);
   assert(!config_.jitter.is_negative());
   assert(config_.burst_outage_rate == 0.0 || config_.burst_cycle > sim::SimTime::zero());
-  lanes_.reserve(dense_sender_count);
-  for (uint32_t id = 0; id < dense_sender_count; ++id) {
-    lanes_.emplace_back(lane_seed(lane_salt_, id));
-  }
 }
 
 sim::Rng& FaultModel::lane(NodeId sender) {
-  if (sender.value < lanes_.size()) {
-    return lanes_[sender.value];
+  auto it = lanes_.find(sender.value);
+  if (it == lanes_.end()) {
+    it = lanes_.emplace(sender.value, sim::Rng(lane_seed(lane_salt_, sender.value))).first;
   }
-  // Overflow senders (adversary minions, spoofed identities) send only from
-  // the global context, which runs with every shard quiesced — so the map
-  // has a single writer and iteration-order-free access.
-  auto [it, inserted] = overflow_.try_emplace(sender.value, sim::Rng(lane_seed(lane_salt_, sender.value)));
   return it->second;
 }
 
@@ -58,7 +51,7 @@ bool FaultModel::in_burst(NodeId from, NodeId to, sim::SimTime at) const {
   }
   // Directed pair: (a, b) and (b, a) burst independently, like real access
   // links. The episode's placement within cycle k is a pure hash, so no
-  // per-pair state exists to race or to diverge across shard counts.
+  // per-pair state exists.
   const uint64_t pair = sim::splitmix64_mix(from.value * 0x9E3779B97F4A7C15ull ^ to.value);
   const uint64_t h = sim::splitmix64_mix(burst_salt_ ^ pair ^ (k * 0xBF58476D1CE4E5B9ull));
   const int64_t offset = static_cast<int64_t>(h % static_cast<uint64_t>(cycle - outage + 1));

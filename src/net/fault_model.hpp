@@ -17,26 +17,21 @@
 //                   a pure hash of (pair, cycle index).
 //
 // Determinism contract (docs/faults.md): all decisions for messages sent by
-// node S are drawn from S's private lane — a generator fixed at setup from
-// the scenario seed. A sender's sends execute serially in its owning shard
-// context in the same order at every shard count, so lane consumption (and
-// therefore every fault outcome) is bit-identical at shards 1/2/4/8 — the
-// per-sender refinement of "per-context streams split at setup", and the
-// fix for the `mutable sim::Rng`-in-a-LinkFilter hazard that made the old
-// test-only LossLinkFilter unusable under sim::ShardedEngine (its allow()
-// ran once at send and once at delivery, in whichever context the event
-// landed). Burst membership consumes no lane draws at all: it is a pure
-// function of (pair, time, salt).
+// node S are drawn from S's private lane — a generator seeded from the
+// scenario seed and S's id alone, created on S's first send. Lane
+// consumption therefore depends only on S's own send sequence, never on
+// which other nodes sent first. This replaced a test-only LossLinkFilter
+// whose `mutable sim::Rng` rolled once at send and once at delivery, so its
+// outcomes shifted with every unrelated message. Burst membership consumes
+// no lane draws at all: it is a pure function of (pair, time, salt).
 //
-// Jitter only ever *adds* delay, so total delivery time stays strictly
-// above the network's min_latency and the sharded engine's lookahead window
-// contract is never violated.
+// Jitter only ever *adds* delay, so total delivery time never drops below
+// the Narses latency + transfer time.
 #ifndef LOCKSS_NET_FAULT_MODEL_HPP_
 #define LOCKSS_NET_FAULT_MODEL_HPP_
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "net/node_id.hpp"
 #include "sim/rng.hpp"
@@ -87,14 +82,7 @@ struct FaultDecision {
 class FaultModel {
  public:
   // `rng` seeds the lane and burst salts (two draws, like Network's ctor).
-  // Senders with ids below `dense_sender_count` — the scenario's
-  // established population plus arrivals, whose sends run on shard threads
-  // — get preallocated lanes; higher ids (adversary minions and spoofed
-  // identities, which only ever send from the global context) fall through
-  // to a lazily grown overflow table. The split keeps the hot path a vector
-  // index and keeps the mutable overflow map single-writer: shard contexts
-  // never touch it.
-  FaultModel(const FaultConfig& config, sim::Rng rng, uint32_t dense_sender_count);
+  FaultModel(const FaultConfig& config, sim::Rng rng);
 
   // Decides the fate of one message sent now. Mutates the sender's lane:
   // exactly three draws per non-burst send (loss, duplication, jitter, in
@@ -115,8 +103,9 @@ class FaultModel {
   FaultConfig config_;
   uint64_t lane_salt_;
   uint64_t burst_salt_;
-  std::vector<sim::Rng> lanes_;
-  std::unordered_map<uint64_t, sim::Rng> overflow_;
+  // Keyed by raw sender id: peers are dense from 0, but adversary minions
+  // and spoofed identities sit at arbitrary high ids.
+  std::unordered_map<uint64_t, sim::Rng> lanes_;
 };
 
 }  // namespace lockss::net

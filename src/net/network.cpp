@@ -57,17 +57,14 @@ bool Network::allowed(NodeId from, NodeId to) const {
 void Network::send(MessagePtr message) {
   assert(message != nullptr);
   assert(message->from.valid() && message->to.valid());
-  // Sharded runs keep one stats block per context so concurrent shards
-  // never race on the counters; serial runs use the single stats_.
-  NetworkStats& send_stats = bus_ != nullptr ? bus_->context_stats() : stats_;
-  ++send_stats.messages_sent;
+  ++stats_.messages_sent;
   if (!allowed(message->from, message->to)) {
-    ++send_stats.messages_filtered;
+    ++stats_.messages_filtered;
     return;
   }
   auto handler_it = handlers_.find(message->to);
   if (handler_it == handlers_.end()) {
-    ++send_stats.messages_no_handler;
+    ++stats_.messages_no_handler;
     return;
   }
   const sim::SimTime base_delay = delivery_delay(message->from, message->to, message->size_bytes());
@@ -75,17 +72,13 @@ void Network::send(MessagePtr message) {
     schedule_delivery(std::move(message), base_delay);
     return;
   }
-  // Faults are decided once, here, in the sender's owning context — never
-  // at delivery — so the decision stream is a pure function of the sender's
-  // send sequence (docs/faults.md). Jitter only adds delay: the total stays
-  // strictly above min_latency, preserving the sharded lookahead contract.
-  const sim::SimTime now = bus_ != nullptr ? bus_->context_sim().now() : simulator_.now();
+  // Faults are decided once, here — never at delivery — so the decision
+  // stream is a pure function of the sender's send sequence
+  // (docs/faults.md).
+  const sim::SimTime now = simulator_.now();
   const FaultDecision verdict = faults_->decide(message->from, message->to, now);
-  // Fault injections are recorded on the calling context's sink so the
-  // trace attributes every lost/duplicated/jittered message to its sender
-  // (docs/observability.md). The domain tag comes from the sender id, not
-  // the execution context: minion sends run globally even in serial runs.
-  obs::EventSink* events = bus_ != nullptr ? bus_->context_events() : events_;
+  // The trace attributes every lost/duplicated/jittered message to its
+  // sender (docs/observability.md); the domain tag comes from the sender id.
   auto record_fault = [&](obs::EventKind kind, uint64_t arg) {
     obs::Event e;
     e.time_ns = now.ns();
@@ -93,20 +86,20 @@ void Network::send(MessagePtr message) {
     e.origin = static_cast<uint32_t>(message->from.value);
     e.other = static_cast<uint32_t>(message->to.value);
     e.kind = kind;
-    e.domain = events->fault_domain(message->from.value);
-    events->record(e);
+    e.domain = events_->fault_domain(message->from.value);
+    events_->record(e);
   };
   if (verdict.drop) {
-    ++(verdict.burst ? send_stats.messages_burst_dropped : send_stats.messages_lost);
-    if (events != nullptr) {
+    ++(verdict.burst ? stats_.messages_burst_dropped : stats_.messages_lost);
+    if (events_ != nullptr) {
       record_fault(verdict.burst ? obs::EventKind::kFaultBurstDrop : obs::EventKind::kFaultLoss,
                    0);
     }
     return;
   }
   if (verdict.extra_delay > sim::SimTime::zero()) {
-    ++send_stats.messages_jittered;
-    if (events != nullptr) {
+    ++stats_.messages_jittered;
+    if (events_ != nullptr) {
       record_fault(obs::EventKind::kFaultJitter,
                    static_cast<uint64_t>(verdict.extra_delay.ns()));
     }
@@ -118,8 +111,8 @@ void Network::send(MessagePtr message) {
     // depend on message types.
     copy = message->clone();
     if (copy != nullptr) {
-      ++send_stats.messages_duplicated;
-      if (events != nullptr) {
+      ++stats_.messages_duplicated;
+      if (events_ != nullptr) {
         record_fault(obs::EventKind::kFaultDuplicate, 0);
       }
     }
@@ -131,33 +124,27 @@ void Network::send(MessagePtr message) {
 }
 
 void Network::schedule_delivery(MessagePtr message, sim::SimTime delay) {
-  const NodeId to = message->to;
   // EventFn supports move-only callables, so the unique_ptr rides in the
   // capture directly — no shared box, no allocation beyond the message.
   sim::EventFn deliver = [this, msg = std::move(message)]() mutable {
     assert(msg != nullptr);
-    NetworkStats& recv_stats = bus_ != nullptr ? bus_->context_stats() : stats_;
     // Deliver through a fresh handler lookup: the recipient may unregister
     // (or be replaced) while the message is in flight.
     auto it = handlers_.find(msg->to);
     if (it == handlers_.end()) {
-      ++recv_stats.messages_no_handler;
+      ++stats_.messages_no_handler;
       return;
     }
     // Re-check filters at delivery: pipe stoppage that starts mid-flight
     // drowns packets already on the wire too.
     if (!allowed(msg->from, msg->to)) {
-      ++recv_stats.messages_filtered;
+      ++stats_.messages_filtered;
       return;
     }
-    ++recv_stats.messages_delivered;
-    recv_stats.bytes_delivered += msg->size_bytes();
+    ++stats_.messages_delivered;
+    stats_.bytes_delivered += msg->size_bytes();
     it->second->handle_message(std::move(msg));
   };
-  if (bus_ != nullptr) {
-    bus_->schedule_delivery(to, bus_->context_sim().now() + delay, std::move(deliver));
-    return;
-  }
   simulator_.schedule_in(delay, std::move(deliver));
 }
 

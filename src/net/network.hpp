@@ -12,6 +12,10 @@
 //   * transfer time uses the bottleneck of the two access links;
 //   * `LinkFilter`s model pipe stoppage: any installed filter may veto
 //     delivery (the message is silently dropped, as a flooded link would).
+//
+// A network belongs to one simulator: sends, deliveries and the counters
+// all run on that simulator's thread, in event order, so NetworkStats needs
+// no synchronization.
 #ifndef LOCKSS_NET_NETWORK_HPP_
 #define LOCKSS_NET_NETWORK_HPP_
 
@@ -61,43 +65,9 @@ struct NetworkStats {
   uint64_t messages_duplicated = 0;     // extra copies scheduled
   uint64_t messages_jittered = 0;       // deliveries with nonzero extra delay
 
-  NetworkStats& operator+=(const NetworkStats& o) {
-    messages_sent += o.messages_sent;
-    messages_delivered += o.messages_delivered;
-    messages_filtered += o.messages_filtered;
-    messages_no_handler += o.messages_no_handler;
-    bytes_delivered += o.bytes_delivered;
-    messages_lost += o.messages_lost;
-    messages_burst_dropped += o.messages_burst_dropped;
-    messages_duplicated += o.messages_duplicated;
-    messages_jittered += o.messages_jittered;
-    return *this;
-  }
-
   uint64_t faults_injected() const {
     return messages_lost + messages_burst_dropped + messages_duplicated + messages_jittered;
   }
-};
-
-// Sharded-run delivery backend (sim/ShardedEngine adapter; docs/sharding.md).
-// When installed, the network asks the bus for the *calling context's* clock
-// and stats shard (so concurrent shards never touch shared counters) and
-// hands it each delivery to route: same-context deliveries schedule
-// directly, cross-context ones are buffered until the next shard barrier.
-// Counter totals are summed at the end of the run (total_stats()); the sums
-// equal the serial counters because every send/delivery happens exactly
-// once in exactly one context.
-class ShardBus {
- public:
-  virtual ~ShardBus() = default;
-  virtual sim::Simulator& context_sim() = 0;
-  virtual NetworkStats& context_stats() = 0;
-  virtual void schedule_delivery(NodeId to, sim::SimTime at, sim::EventFn fn) = 0;
-  virtual NetworkStats total_stats() const = 0;
-  // The calling context's protocol-event sink, or nullptr when tracing is
-  // off (docs/observability.md). Mirrors context_stats(): concurrent shards
-  // must never share a sink.
-  virtual obs::EventSink* context_events() { return nullptr; }
 };
 
 class Network {
@@ -120,11 +90,11 @@ class Network {
   void remove_filter(const LinkFilter* filter);
 
   // Installs (or clears, with nullptr) the unreliable-link fault model
-  // (docs/faults.md). Not owned. Faults are decided once, at send time, in
-  // the sender's owning context, after the veto filters: a vetoed message
-  // was never on the wire, so it consumes no fault randomness. With no
-  // model installed the delivery path is byte-for-byte the ideal-network
-  // behavior — the golden corpus pins this.
+  // (docs/faults.md). Not owned. Faults are decided once, at send time,
+  // after the veto filters: a vetoed message was never on the wire, so it
+  // consumes no fault randomness. With no model installed the delivery path
+  // is byte-for-byte the ideal-network behavior — the golden corpus pins
+  // this.
   void set_fault_model(FaultModel* model) { faults_ = model; }
 
   // Deterministic per-pair latency (symmetric) and per-node bandwidth.
@@ -137,20 +107,11 @@ class Network {
   sim::SimTime delivery_delay(NodeId from, NodeId to, uint64_t bytes) const;
 
   const NetworkStats& stats() const { return stats_; }
-  // Serial: stats(). Sharded: the sum over all context shards.
-  NetworkStats total_stats() const { return bus_ != nullptr ? bus_->total_stats() : stats_; }
   sim::Simulator& simulator() { return simulator_; }
 
-  // Installs (or clears, with nullptr) the sharded delivery backend. The
-  // bus is not owned and must outlive the installed state. Serial runs
-  // never call this; with no bus every path below is byte-for-byte the
-  // pre-sharding behavior.
-  void set_shard_bus(ShardBus* bus) { bus_ = bus; }
-
-  // Installs (or clears, with nullptr) the serial-run protocol-event sink;
-  // fault injections (loss/burst/dup/jitter) are recorded on it
-  // (docs/observability.md). Sharded runs ignore this and route through
-  // ShardBus::context_events() instead.
+  // Installs (or clears, with nullptr) the protocol-event sink; fault
+  // injections (loss/burst/dup/jitter) are recorded on it
+  // (docs/observability.md).
   void set_event_sink(obs::EventSink* sink) { events_ = sink; }
 
  private:
@@ -158,7 +119,6 @@ class Network {
   void schedule_delivery(MessagePtr message, sim::SimTime delay);
 
   sim::Simulator& simulator_;
-  ShardBus* bus_ = nullptr;
   FaultModel* faults_ = nullptr;
   obs::EventSink* events_ = nullptr;
   sim::Rng rng_;

@@ -60,7 +60,7 @@ class NodeSlotRegistry {
       return existing;
     }
     // Out-of-order registration silently breaks the slot-order == NodeId-order
-    // contract every dense substrate (and the shard partition) builds on, so
+    // contract every dense substrate builds on, so
     // it is a hard error even in builds that compile asserts out — an assert
     // alone would let a release build corrupt every substrate walk.
     if (!nodes_.empty() && id.value <= nodes_.back().value) {

@@ -4,7 +4,7 @@
 // solicitation traffic, voter admission, churn transitions, operator
 // interventions, injected network faults — recorded in *sim time* so an
 // enabled trace is a deterministic function of the scenario config,
-// bit-identical across shard and worker counts.
+// bit-identical across worker counts.
 //
 // This header sits at the bottom of the layering (only <cstdint>): protocol,
 // dynamics, net, and experiment all record through it, so it must not pull
@@ -84,11 +84,9 @@ constexpr uint32_t kMaskAdversary = kind_bit(EventKind::kAdversaryPolicyTrigger)
                                     kind_bit(EventKind::kAdversaryPolicyAction);
 
 // The canonical trace record. `domain` is a *static* tag of the recording
-// actor — 0 for global-context actors (churn, operators, adversary minions),
-// 1 for peer-owned streams — never derived from which thread happened to
-// execute the record. The canonical trace order is
-// (time_ns, domain, origin, per-origin record order); see event_log.hpp for
-// why that is shard-count-invariant.
+// actor — 0 for deployment-wide actors (churn, operators, adversary
+// minions), 1 for peer-owned streams. The canonical trace order is
+// (time_ns, domain, origin, per-origin record order); see event_log.hpp.
 struct Event {
   int64_t time_ns = 0;
   uint64_t poll = 0;    // protocol::PollId, or 0 when not poll-scoped

@@ -66,9 +66,8 @@ bool EventSink::sampled(const Event& e) const {
   if (config_.sample_rate <= 0.0) {
     return false;
   }
-  // Pure function of the event's stream coordinates: shard- and
-  // worker-count-invariant, and identical for the identical event in a
-  // serial and a sharded run.
+  // Pure function of the event's stream coordinates, so the identical
+  // event is kept or dropped in every run of the config.
   const uint64_t h = mix64(static_cast<uint64_t>(e.time_ns) ^
                            (static_cast<uint64_t>(e.origin) << 32) ^
                            (static_cast<uint64_t>(e.kind) * 0x9E3779B97F4A7C15ull));
@@ -76,32 +75,12 @@ bool EventSink::sampled(const Event& e) const {
   return unit < config_.sample_rate;
 }
 
-EventLog::EventLog(const TraceConfig& config, size_t sink_count,
-                   uint32_t peer_domain_limit)
-    : sinks_(sink_count == 0 ? 1 : sink_count) {
-  for (EventSink& sink : sinks_) {
-    sink.configure(config, peer_domain_limit);
-  }
-}
-
-void EventLog::drain() {
-  for (EventSink& sink : sinks_) {
-    if (!sink.events_.empty()) {
-      master_.insert(master_.end(), sink.events_.begin(), sink.events_.end());
-      sink.events_.clear();
-    }
-    dropped_ += sink.dropped_;
-    sink.dropped_ = 0;
-  }
-}
-
 EventTrace EventLog::finalize() {
-  drain();
   EventTrace trace;
   trace.enabled = true;
-  trace.dropped = dropped_;
-  trace.events = std::move(master_);
-  master_.clear();
+  trace.dropped = sink_.dropped_;
+  trace.events = std::move(sink_.events_);
+  sink_.events_.clear();
   canonicalize(&trace.events);
   return trace;
 }

@@ -1,33 +1,25 @@
 // Deterministic sim-time event tracing (docs/observability.md).
 //
-// Architecture mirrors net::EngineShardBus: the EventLog owns one EventSink
-// per execution context (shards 0..N-1 plus the global context in the last
-// slot; a serial run owns a single sink), so recording never takes a lock
-// and never races. Sinks are drained into the master buffer at ShardedEngine
-// barriers (shards quiescent) and the master is put into canonical order at
+// One run owns one EventLog, and the log owns one EventSink. Every
+// recording site (peers, the network's fault hook, churn, operators, the
+// adversary policy engine) runs on the run's single simulator, so recording
+// never takes a lock. The sink's buffer is put into canonical order at
 // finalize time.
 //
 // Canonical order & the determinism contract
 // ------------------------------------------
-// The raw interleaving of events across peers differs between a serial run
-// (one queue) and a sharded run (per-shard queues), so per-sink order alone
-// cannot be the trace order. Instead every event carries a static
-// (domain, origin) stream tag, and the canonical trace is the stable sort of
-// all events by (time_ns, domain, origin). Each stream's events execute in
-// exactly one context, in the same relative order at every shard count (a
-// shard's execution order is the serial order restricted to that shard;
-// global actors run on the global simulator in serial order), so the sorted
-// sequence is bit-identical at shards 1/2/4/8 and across worker counts.
-// Per-sink sequence numbers are deliberately *not* part of the record: they
-// differ across shard counts.
+// Every event carries a static (domain, origin) stream tag, and the
+// canonical trace is the stable sort of all events by
+// (time_ns, domain, origin). Within one stream the recording order is the
+// execution order, so the sorted sequence is a pure function of the
+// scenario config and identical at every worker count. The golden trace
+// fixtures pin these bytes.
 //
 // Sampling is a pure hash of (time_ns, origin, kind) — no RNG stream is
 // consumed, so enabling a trace never perturbs the simulation.
 //
-// Ring capacity: 0 means unbounded (the determinism contract holds
-// unconditionally). A bounded sink drops the newest events once full within
-// a barrier window and counts the drops; with drops the surviving subset can
-// depend on the shard count, so determinism tests use unbounded sinks.
+// Ring capacity: 0 means unbounded. A bounded sink keeps the first
+// `ring_capacity` events of the run, drops the rest and counts the drops.
 #ifndef LOCKSS_OBS_EVENT_LOG_HPP_
 #define LOCKSS_OBS_EVENT_LOG_HPP_
 
@@ -42,7 +34,7 @@ struct TraceConfig {
   bool enabled = false;
   uint32_t kind_mask = kMaskAll;
   double sample_rate = 1.0;    // fraction of mask-passing events kept
-  uint64_t ring_capacity = 0;  // per-sink events per barrier window; 0 = unbounded
+  uint64_t ring_capacity = 0;  // events kept per run; 0 = unbounded
 
   friend bool operator==(const TraceConfig&, const TraceConfig&) = default;
 };
@@ -74,7 +66,7 @@ class EventSink {
 
   // Fault events are recorded by the Network, which knows only the sender
   // id; the static domain tag falls out of the id space (minions live above
-  // the shard-owned dense range).
+  // the dense loyal-peer range).
   uint8_t fault_domain(uint32_t sender) const {
     return sender < peer_domain_limit_ ? 1 : 0;
   }
@@ -106,26 +98,19 @@ struct EventTrace {
 
 class EventLog {
  public:
-  // `sink_count` = shards + 1 for a sharded run (global context last), or 1
-  // for a serial run. `peer_domain_limit` bounds the dense shard-owned
-  // NodeId range (peers + newcomers); ids at or above it are global actors.
-  EventLog(const TraceConfig& config, size_t sink_count, uint32_t peer_domain_limit);
+  // `peer_domain_limit` bounds the dense loyal NodeId range (peers,
+  // newcomers, arrivals); ids at or above it are adversary actors.
+  EventLog(const TraceConfig& config, uint32_t peer_domain_limit) {
+    sink_.configure(config, peer_domain_limit);
+  }
 
-  EventSink* sink(size_t index) { return &sinks_[index]; }
-  EventSink* global_sink() { return &sinks_.back(); }
+  EventSink* sink() { return &sink_; }
 
-  // Barrier hook body: append every sink's window onto the master buffer (in
-  // sink order — irrelevant for the final order, which is a stable sort by
-  // stream) and reset the sinks for the next window. Cheap when idle.
-  void drain();
-
-  // Drain any remaining sink contents and return the canonical trace.
+  // Returns the canonical trace. Call once, at the end of the run.
   EventTrace finalize();
 
  private:
-  std::vector<EventSink> sinks_;
-  std::vector<Event> master_;
-  uint64_t dropped_ = 0;
+  EventSink sink_;
 };
 
 // Stable-sorts `events` into canonical (time_ns, domain, origin) order.

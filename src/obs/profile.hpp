@@ -1,8 +1,7 @@
 // Wall-clock self-profiling (docs/observability.md, domain 2).
 //
 // Unlike the sim-time event trace, everything here measures the *host*: how
-// long setup/run/harvest actually took, how the sharded engine's barrier
-// windows behaved, and how big the process grew. None of it is
+// long setup/run/harvest actually took and how big the process grew. None of it is
 // deterministic, so profile data never feeds the journal, the golden corpus,
 // or any determinism comparison — it is reporting only, gated off by
 // default.
@@ -35,22 +34,17 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Filled in by sim::ShardedEngine when a profile is attached (nullptr —
-// the default — costs the engine nothing but a branch per window).
+// Engine window statistics from the retired intra-run sharded engine.
+// Nothing fills them any more, so every field stays zero. The only reader is
+// perfbench/driver.cpp, which still reports them; drop this struct when the
+// benchmark drops its --shards option.
 struct EngineProfile {
-  uint64_t windows = 0;           // lookahead windows dispatched
-  uint64_t barriers = 0;          // barrier merges completed
-  double window_exec_seconds = 0.0;   // wall time inside shard execution
-  double barrier_stall_seconds = 0.0; // wall time merging + waiting at barriers
-  // Window-occupancy histogram: windows by how many shards had work,
-  // saturated at the last bucket. All-idle windows land in bucket 0.
+  uint64_t windows = 0;
+  uint64_t barriers = 0;
+  double window_exec_seconds = 0.0;
+  double barrier_stall_seconds = 0.0;
   static constexpr size_t kOccupancyBuckets = 17;
   std::array<uint64_t, kOccupancyBuckets> occupancy{};
-
-  double barrier_stall_fraction() const {
-    const double total = window_exec_seconds + barrier_stall_seconds;
-    return total > 0.0 ? barrier_stall_seconds / total : 0.0;
-  }
 };
 
 // One run's wall-clock profile, carried in experiment::RunResult when
@@ -62,7 +56,7 @@ struct RunProfile {
   double harvest_ms = 0.0;  // counter harvest + report build
   double total_ms = 0.0;
   uint64_t peak_rss_kb = 0;
-  EngineProfile engine;
+  EngineProfile engine;  // always zero; see EngineProfile
 };
 
 }  // namespace lockss::obs

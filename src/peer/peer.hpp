@@ -55,8 +55,7 @@ struct PeerEnvironment {
   // custom experiment instrumentation).
   std::function<void(net::NodeId poller, const protocol::PollOutcome&)> poll_observer;
   // Protocol event sink for this peer's sessions (docs/observability.md), or
-  // nullptr when tracing is off. In sharded runs each shard's peers share
-  // that shard's sink.
+  // nullptr when tracing is off.
   obs::EventSink* events = nullptr;
 };
 

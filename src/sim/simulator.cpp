@@ -32,18 +32,6 @@ void Simulator::run_until(SimTime horizon) {
   }
 }
 
-void Simulator::run_at(SimTime t) {
-  assert(t >= now_);
-  stopped_ = false;
-  now_ = t;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() == t) {
-    auto popped = queue_.pop();
-    popped.fn();
-    ++events_processed_;
-  }
-  assert(stopped_ || queue_.empty() || queue_.next_time() > t);
-}
-
 void Simulator::run() {
   stopped_ = false;
   while (!stopped_ && !queue_.empty()) {

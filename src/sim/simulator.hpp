@@ -42,19 +42,6 @@ class Simulator {
   // Runs until the queue drains. Intended for tests and small scenarios.
   void run();
 
-  // Runs every event scheduled at exactly `t` (including events those
-  // events schedule at `t`), leaving the clock at `t` and touching nothing
-  // later. The sharded engine's coordinator uses this to execute global
-  // events with every shard quiesced at the same instant; earlier events
-  // must already have run (asserted).
-  void run_at(SimTime t);
-
-  // Earliest pending event time, or SimTime::max() when the queue is empty.
-  // Non-const: surfacing the head may prune lazily-cancelled entries.
-  SimTime next_event_time() {
-    return queue_.empty() ? SimTime::max() : queue_.next_time();
-  }
-
   // Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
 

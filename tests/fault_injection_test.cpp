@@ -33,7 +33,7 @@ TEST(FaultModelTest, ZeroConfigIsDisabledAndInertFlagEnables) {
 TEST(FaultModelTest, InertModelNeverPerturbsAnything) {
   net::FaultConfig config;
   config.install_when_inert = true;
-  net::FaultModel model(config, sim::Rng(1), 8);
+  net::FaultModel model(config, sim::Rng(1));
   for (uint32_t i = 0; i < 200; ++i) {
     const net::FaultDecision d =
         model.decide(net::NodeId{i % 8}, net::NodeId{(i + 1) % 8}, sim::SimTime::seconds(i));
@@ -46,7 +46,7 @@ TEST(FaultModelTest, InertModelNeverPerturbsAnything) {
 TEST(FaultModelTest, FullLossDropsEverySend) {
   net::FaultConfig config;
   config.loss_rate = 1.0;
-  net::FaultModel model(config, sim::Rng(1), 8);
+  net::FaultModel model(config, sim::Rng(1));
   for (uint32_t i = 0; i < 100; ++i) {
     const net::FaultDecision d = model.decide(net::NodeId{i % 8}, net::NodeId{(i + 3) % 8},
                                               sim::SimTime::seconds(i));
@@ -60,7 +60,7 @@ TEST(FaultModelTest, FullLossDropsEverySend) {
 TEST(FaultModelTest, LossRateIsApproximatelyHonored) {
   net::FaultConfig config;
   config.loss_rate = 0.3;
-  net::FaultModel model(config, sim::Rng(7), 4);
+  net::FaultModel model(config, sim::Rng(7));
   uint32_t dropped = 0;
   const uint32_t trials = 20000;
   for (uint32_t i = 0; i < trials; ++i) {
@@ -75,7 +75,7 @@ TEST(FaultModelTest, DuplicationAndJitterDrawIndependentDelays) {
   net::FaultConfig config;
   config.dup_rate = 1.0;
   config.jitter = sim::SimTime::milliseconds(100);
-  net::FaultModel model(config, sim::Rng(11), 4);
+  net::FaultModel model(config, sim::Rng(11));
   bool delays_differ = false;
   for (uint32_t i = 0; i < 200; ++i) {
     const net::FaultDecision d =
@@ -97,7 +97,7 @@ TEST(FaultModelTest, LossWinsOverDuplication) {
   config.loss_rate = 1.0;
   config.dup_rate = 1.0;
   config.jitter = sim::SimTime::milliseconds(50);
-  net::FaultModel model(config, sim::Rng(13), 4);
+  net::FaultModel model(config, sim::Rng(13));
   const net::FaultDecision d = model.decide(net::NodeId{0}, net::NodeId{1}, sim::SimTime::zero());
   EXPECT_TRUE(d.drop);
   EXPECT_FALSE(d.duplicate);
@@ -108,7 +108,7 @@ TEST(FaultModelTest, BurstEpisodesCoverTheConfiguredFraction) {
   net::FaultConfig config;
   config.burst_outage_rate = 0.25;
   config.burst_cycle = sim::SimTime::days(1.0);
-  net::FaultModel model(config, sim::Rng(17), 8);
+  net::FaultModel model(config, sim::Rng(17));
   // Each directed pair spends exactly a quarter of every cycle in outage;
   // sample one pair densely across many cycles.
   uint32_t in_burst = 0;
@@ -124,8 +124,8 @@ TEST(FaultModelTest, BurstEpisodesCoverTheConfiguredFraction) {
 TEST(FaultModelTest, BurstMembershipIsPureAndDirected) {
   net::FaultConfig config;
   config.burst_outage_rate = 0.5;
-  net::FaultModel a(config, sim::Rng(23), 8);
-  net::FaultModel b(config, sim::Rng(23), 8);
+  net::FaultModel a(config, sim::Rng(23));
+  net::FaultModel b(config, sim::Rng(23));
   bool directions_differ = false;
   for (uint32_t i = 0; i < 200; ++i) {
     const sim::SimTime at = sim::SimTime::hours(i);
@@ -148,10 +148,10 @@ TEST(FaultModelTest, SenderLanesAreIndependentOfInterleaving) {
   config.jitter = sim::SimTime::milliseconds(40);
   // Model A: sender 1's sends interleaved with a storm from sender 2.
   // Model B: sender 1 alone. Same seed -> sender 1's fault sequence must be
-  // identical — this is the per-sender-lane property that keeps sharded
-  // runs bit-identical regardless of cross-sender event interleaving.
-  net::FaultModel a(config, sim::Rng(31), 4);
-  net::FaultModel b(config, sim::Rng(31), 4);
+  // identical — the per-sender-lane property that makes every fault
+  // outcome independent of cross-sender event interleaving.
+  net::FaultModel a(config, sim::Rng(31));
+  net::FaultModel b(config, sim::Rng(31));
   for (uint32_t i = 0; i < 500; ++i) {
     for (uint32_t burst = 0; burst < i % 5; ++burst) {
       (void)a.decide(net::NodeId{2}, net::NodeId{3}, sim::SimTime::seconds(i));
@@ -167,11 +167,11 @@ TEST(FaultModelTest, SenderLanesAreIndependentOfInterleaving) {
   }
 }
 
-TEST(FaultModelTest, OverflowLanesServeHighSenderIds) {
+TEST(FaultModelTest, HighSenderIdsGetPrivateLanes) {
   net::FaultConfig config;
   config.loss_rate = 0.5;
-  net::FaultModel model(config, sim::Rng(37), 4);
-  // Ids far beyond the dense range (adversary minions) must still get
+  net::FaultModel model(config, sim::Rng(37));
+  // Ids far above the loyal range (adversary minions) must still get
   // stable private lanes.
   uint32_t dropped = 0;
   for (uint32_t i = 0; i < 2000; ++i) {
@@ -241,8 +241,7 @@ struct MiniDeployment {
   // seeds were already split in the constructor, so a faulty deployment's
   // peers behave identically to a clean one's until faults actually fire.
   void install_faults(const net::FaultConfig& config) {
-    faults = std::make_unique<net::FaultModel>(config, root.split(),
-                                               static_cast<uint32_t>(peers.size()));
+    faults = std::make_unique<net::FaultModel>(config, root.split());
     network.set_fault_model(faults.get());
   }
 

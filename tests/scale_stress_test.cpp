@@ -1,12 +1,12 @@
 // Large-deployment regime stress (the 10k-peer x 100-AU target of the
-// bench_report `large_deployment` sweep; docs/sharding.md).
+// bench_report `large_deployment` sweep).
 //
 // Three layers of coverage:
 //   * the dense id registries at >= 1M entries — the 32-bit index/counter
 //     audit's regression surface (rehash math, direct-index table widening);
 //   * the metrics grid at 1M (peer, AU) slots — 64-bit slot arithmetic and
 //     the far-corner write;
-//   * a scaled-down large deployment run end-to-end, sharded, with a
+//   * a scaled-down large deployment run end-to-end, with a
 //     bytes-per-peer ceiling read from /proc/self/status VmHWM that pins
 //     the current memory constant against regressions.
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ size_t vm_hwm_bytes() {
 
 TEST(ScaleStressTest, LargeDeploymentScaledDownBytesPerPeer) {
   // A 1/5-linear-scale slice of the large_deployment bench row (2k peers,
-  // 10 AUs), run sharded over a short horizon: long enough for the startup
+  // 10 AUs), run over a short horizon: long enough for the startup
   // poll schedule and first deliveries, short enough for CI. The memory
   // ceiling is the real assertion: it pins today's bytes/peer constant so
   // a memory regression (one more word per (peer, known-peer) pair is
@@ -105,7 +105,6 @@ TEST(ScaleStressTest, LargeDeploymentScaledDownBytesPerPeer) {
   config.duration = sim::SimTime::days(3);
   config.seed = 20260809;
   config.enable_damage = false;
-  config.shards = 4;
   const experiment::RunResult result = run_scenario(config);
   EXPECT_GT(result.events_processed, 0u);
   EXPECT_GT(result.solicitations_sent, 0u);

@@ -7,10 +7,6 @@
 //   --dry-run         alias for --validate
 //   --out-dir DIR     where outputs land (default: current directory)
 //   --workers N       parallel runner workers (default: auto; must be >= 1)
-//   --shards N        intra-run shards per scenario (default: 1, or
-//                     $LOCKSS_SHARDS; must be >= 1). Results are
-//                     bit-identical at every shard count, so this is pure
-//                     execution tuning — specs and manifests never see it
 //   --quiet           suppress the per-cell stdout report
 //   --resume          replay <out-dir>/<name>.journal and skip computed
 //                     units; a torn trailing record is recovered, failed
@@ -112,8 +108,8 @@ void print_plan(const campaign::CompiledCampaign& compiled) {
 // silently run a different experiment than the one asked for.
 bool check_flags(const experiment::CliArgs& args) {
   static const std::set<std::string> known = {
-      "validate", "dry-run", "out-dir",      "workers", "quiet",
-      "resume",   "retries", "fault-inject", "shards",  "progress",
+      "validate", "dry-run", "out-dir",      "workers",  "quiet",
+      "resume",   "retries", "fault-inject", "progress",
   };
   for (const std::string& key : args.keys()) {
     if (!known.contains(key)) {
@@ -136,7 +132,7 @@ int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: lockss_campaign <campaign.json> [--validate] [--out-dir DIR] "
-                 "[--workers N] [--shards N] [--quiet] [--resume] [--retries N] "
+                 "[--workers N] [--quiet] [--resume] [--retries N] "
                  "[--fault-inject SPEC] [--progress]\n");
     return 2;
   }
@@ -176,16 +172,6 @@ int main(int argc, char** argv) {
   }
   if (workers > 0) {
     experiment::ParallelRunner::set_default_workers(static_cast<unsigned>(workers));
-  }
-
-  const int64_t shard_count = args.integer("shards", 0);
-  if (args.flag("shards") && shard_count < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1 (got %lld)\n",
-                 static_cast<long long>(shard_count));
-    return 2;
-  }
-  if (shard_count > 0) {
-    experiment::set_default_shards(static_cast<uint32_t>(shard_count));
   }
 
   const int64_t retries = args.integer("retries", 0);
