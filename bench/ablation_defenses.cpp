@@ -18,6 +18,9 @@
 //
 // Expected shape: each ablation raises friction (or, for sync_solicit,
 // inquorate polls) relative to the full defense stack.
+//
+// Not a campaign file: every row's friction is measured against a baseline
+// with the same ablation, and a campaign has only one baseline.
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>

@@ -12,6 +12,9 @@
 // — and reports how long integration takes: the mean delay from a
 // newcomer's join to its first successful poll, plus the established
 // population's health.
+//
+// Not a campaign file: the newcomer first-success probe is a poll observer,
+// and its result is not a RunResult field.
 #include <cstdio>
 #include <map>
 

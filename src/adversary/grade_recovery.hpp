@@ -12,8 +12,9 @@
 // toward the debt grade."
 //
 // The paper leaves the measurements to "an extended version"; we implement
-// the adversary so the claim can be checked: bench/ext_grade_recovery shows
-// its friction below the brute-force adversary's.
+// the adversary so the claim can be checked: campaigns/ext_grade_recovery.json
+// shows its friction below the brute-force adversary's (the NONE cell of
+// campaigns/table1.json, the same deployment).
 //
 // Infiltration model: a configurable number of minion identities start
 // inside the victims' reference lists with an even grade (long-term sleeper

@@ -18,9 +18,9 @@
 // Every variant dies at the victim's session dispatch: a vote that does not
 // match a live poller session the victim itself created is dropped before
 // any hashing or proof verification. The adversary exists to demonstrate —
-// in tests and the ext_vote_flood bench — that the flood buys zero friction
-// at any send rate, the paper's stated rationale for not even evaluating
-// this adversary in §7.
+// in tests and campaigns/ext_vote_flood.json — that the flood buys zero
+// friction at any send rate, the paper's stated rationale for not even
+// evaluating this adversary in §7.
 #ifndef LOCKSS_ADVERSARY_VOTE_FLOOD_HPP_
 #define LOCKSS_ADVERSARY_VOTE_FLOOD_HPP_
 

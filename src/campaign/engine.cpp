@@ -88,11 +88,12 @@ double figure_metric(const std::string& metric, const experiment::RelativeMetric
   return rel.friction;
 }
 
-// The attrition-sweep CSV layout, byte-identical to bench/attrition_sweep.hpp:
-// rows = axis 0, one column per axis-1 value labelled "<v>%", access-failure
-// cells in %.2e and everything else in %.2f, plus the companion trace CSV
-// and gnuplot script. Each file is staged to <name>.tmp and atomically
-// renamed into place.
+// The attrition-sweep figure layout of Figures 3–8 (campaigns/fig3.json ...
+// fig8.json): rows = axis 0, one column per axis-1 value labelled "<v>%",
+// access-failure cells in %.2e and everything else in %.2f, plus the
+// companion trace CSV and gnuplot script (bytes pinned by
+// tests/campaign_fig_identity_test.cpp). Each file is staged to <name>.tmp
+// and atomically renamed into place.
 bool write_figure(const CompiledCampaign& campaign, const CampaignOutcome& outcome,
                   const RunOptions& options, std::vector<std::string>* files,
                   std::string* error) {
@@ -387,9 +388,9 @@ std::string render_cells_csv(const CompiledCampaign& campaign, const CampaignOut
 }
 
 // Runs one unit of work: all of its seed replicas (and §6.3 layers),
-// combined in the same part order the grid helpers
-// (experiment::run_replicated_grid / run_layered_replicated_grid) use, so
-// the combined result is bit-identical to the pre-resilience engine's.
+// combined seed-major with layers in order inside each seed (for unlayered
+// units, the part order of experiment::run_replicated_grid), so the
+// combined result never depends on scheduling.
 experiment::RunResult execute_unit(const experiment::ScenarioConfig& config, const Spec& spec) {
   std::vector<experiment::RunResult> parts;
   parts.reserve(static_cast<size_t>(spec.seeds) * (spec.layers > 0 ? spec.layers : 1));

@@ -14,8 +14,9 @@
 //                             failed cells carry status/attempts/error
 //   <out_dir>/<cells>         long-form CSV, one row per cell
 //   <out_dir>/<figure.csv>    only when the spec has a figure output:
-//                             byte-identical to the hard-coded fig drivers'
-//                             CSV, plus the companion .trace.csv and .gp
+//                             the Figure 3–8 layout (pinned by
+//                             tests/campaign_fig_identity_test.cpp), plus
+//                             the companion .trace.csv and .gp
 //
 // Every artifact is written via temp file + atomic rename, so a kill at
 // any instant leaves either the previous artifact or the new one — never a

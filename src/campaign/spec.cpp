@@ -1376,8 +1376,7 @@ bool compile_campaign(const Spec& spec, CompiledCampaign* out, std::string* erro
   }
   out->base = base;
 
-  // Row-major cartesian expansion, first axis outermost — the same loop
-  // nest order the hard-coded sweep drivers use.
+  // Row-major cartesian expansion, first axis outermost.
   size_t cell_count = 1;
   for (const SweepAxis& axis : spec.axes) {
     if (axis.size() == 0) {

@@ -1,8 +1,8 @@
 // Declarative campaign specs: data-driven scenario descriptions.
 //
-// A campaign file (campaigns/*.json) describes a whole experiment the way
-// the hard-coded fig/table drivers do in C++: a deployment (peers, AUs,
-// coverage, newcomers, duration), protocol/cost/damage overrides, an
+// A campaign file (campaigns/*.json) describes a whole experiment (each
+// paper figure and table is one or more such files): a deployment (peers,
+// AUs, coverage, newcomers, duration), protocol/cost/damage overrides, an
 // adversary *pipeline* (ordered, windowed, composable phases — see
 // adversary/pipeline.hpp), sweep axes expanded into a grid, seed
 // replication, §6.3 layering, and trace/output settings. campaign::Spec is
@@ -26,8 +26,7 @@
 namespace lockss::campaign {
 
 // One sweep dimension. Axes expand to their cartesian product in file
-// order, first axis outermost (row-major) — the grid order the hard-coded
-// sweep drivers use.
+// order, first axis outermost (row-major).
 struct SweepAxis {
   // What the axis varies. Phase-level params ("attack_days",
   // "recuperation_days", "coverage_percent", "start_days", "stop_days",
@@ -46,9 +45,9 @@ struct SweepAxis {
   size_t size() const { return categorical() ? names.size() : values.size(); }
 };
 
-// Optional figure output reproducing the attrition-sweep CSV layout
-// byte-for-byte: rows = axis 0, one column per axis-1 value, cells holding
-// `metric` relative to the baseline.
+// Optional figure output in the attrition-sweep CSV layout of Figures 3–8:
+// rows = axis 0, one column per axis-1 value, cells holding `metric`
+// relative to the baseline.
 struct FigureOutput {
   bool enabled = false;
   std::string metric;      // access_failure | delay_ratio | friction

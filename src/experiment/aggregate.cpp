@@ -159,33 +159,6 @@ std::vector<RunResult> run_replicated_grid(const std::vector<ScenarioConfig>& co
   return combined;
 }
 
-std::vector<RunResult> run_layered_replicated_grid(const std::vector<ScenarioConfig>& configs,
-                                                   uint32_t layers, uint32_t seeds) {
-  assert(seeds > 0);
-  std::vector<ScenarioConfig> jobs;
-  jobs.reserve(configs.size() * seeds);
-  for (const ScenarioConfig& config : configs) {
-    for (uint32_t s = 0; s < seeds; ++s) {
-      ScenarioConfig c = config;
-      c.seed = config.seed + s;
-      jobs.push_back(c);
-    }
-  }
-  const std::vector<std::vector<RunResult>> campaigns = run_layered_grid(jobs, layers);
-  std::vector<RunResult> combined;
-  combined.reserve(configs.size());
-  for (size_t block = 0; block < configs.size(); ++block) {
-    std::vector<RunResult> parts;
-    parts.reserve(static_cast<size_t>(seeds) * layers);
-    for (uint32_t s = 0; s < seeds; ++s) {
-      const std::vector<RunResult>& campaign = campaigns[block * seeds + s];
-      parts.insert(parts.end(), campaign.begin(), campaign.end());
-    }
-    combined.push_back(combine_results(parts));
-  }
-  return combined;
-}
-
 Aggregate aggregate_metric(const std::vector<RunResult>& runs,
                            const std::function<double(const RunResult&)>& metric) {
   std::vector<double> values;

@@ -31,28 +31,17 @@ RunResult combine_results(const std::vector<RunResult>& parts);
 
 // Combines the `block`-th group of `per_block` consecutive results from a
 // flattened grid (as produced by run_grid over a job list built in blocks of
-// `per_block` seed-replicas). Shared by the sweep/table drivers so the
-// slicing arithmetic lives in one place and results are not copied.
+// `per_block` seed-replicas), so the slicing arithmetic lives in one place
+// and results are not copied.
 RunResult combine_block(const std::vector<RunResult>& grid_runs, size_t block,
                         uint32_t per_block);
 
 // Runs every config `seeds` times (seed, seed+1, ...) as one flat parallel
 // grid and returns one seed-combined result per config, in config order.
-// The workhorse of the figure/table drivers: the seed replication and the
-// block slicing live here, so a driver's build loop and consume loop only
-// have to agree on config order.
+// The seed replication and the block slicing live here, so a caller's
+// build loop and consume loop only have to agree on config order.
 std::vector<RunResult> run_replicated_grid(const std::vector<ScenarioConfig>& configs,
                                            uint32_t seeds);
-
-// The layered counterpart: every config becomes `seeds` independent §6.3
-// layered campaigns (seed, seed+1, ...) of `layers` layers each, fanned out
-// across the parallel runner (campaigns parallel, layers sequential inside
-// each — run_layered_grid); returns one result per config combining all of
-// its seeds × layers parts, in config order. Like run_replicated_grid, the
-// seed expansion and block slicing live here so the layered drivers
-// (table1_brute_force, fig2_baseline) cannot drift apart.
-std::vector<RunResult> run_layered_replicated_grid(const std::vector<ScenarioConfig>& configs,
-                                                   uint32_t layers, uint32_t seeds);
 
 // Extracts a metric across runs.
 Aggregate aggregate_metric(const std::vector<RunResult>& runs,

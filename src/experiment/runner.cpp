@@ -149,9 +149,4 @@ std::vector<RunResult> run_grid(const std::vector<ScenarioConfig>& jobs, unsigne
   return ParallelRunner(workers).run(jobs);
 }
 
-std::vector<std::vector<RunResult>> run_layered_grid(const std::vector<ScenarioConfig>& jobs,
-                                                     uint32_t layers, unsigned workers) {
-  return ParallelRunner(workers).run_layered_grid(jobs, layers);
-}
-
 }  // namespace lockss::experiment

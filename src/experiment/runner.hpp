@@ -91,12 +91,6 @@ class ParallelRunner {
 // Convenience: one-shot grid execution with the default (or given) workers.
 std::vector<RunResult> run_grid(const std::vector<ScenarioConfig>& jobs, unsigned workers = 0);
 
-// Convenience: one-shot layered-campaign grid with the default (or given)
-// workers. The layered drivers (table1_brute_force, fig2_baseline) route
-// their campaign sets through this instead of looping run_layered serially.
-std::vector<std::vector<RunResult>> run_layered_grid(const std::vector<ScenarioConfig>& jobs,
-                                                     uint32_t layers, unsigned workers = 0);
-
 }  // namespace lockss::experiment
 
 #endif  // LOCKSS_EXPERIMENT_RUNNER_HPP_

@@ -7,7 +7,7 @@
 // integrals diverge. A TraceRecorder samples those quantities on a fixed
 // grid (the scenario schedules the sampling events), producing a RunTrace
 // that rides along in experiment::RunResult, merges across seed replicas,
-// and is emitted as CSV by tools/bench_report and the figure drivers.
+// and is emitted as CSV by tools/bench_report and campaign figure outputs.
 //
 // Sampling is part of the simulation's deterministic event stream, so a
 // trace is bit-identical across ParallelRunner worker counts like every

@@ -12,10 +12,13 @@
 // one, the same policy as tests/golden_trace_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/engine.hpp"
 #include "campaign/spec.hpp"
@@ -88,27 +91,26 @@ TEST(CampaignGoldenTest, LossyLinksManifestMatchesFixture) {
   check_manifest_fixture("lossy_links.json", "lossy_links.manifest.golden");
 }
 
-// The shipped campaign files must always parse and compile (CI also
+// Every shipped campaign file must always parse and compile (CI also
 // validates them through the lockss_campaign binary; this covers local
-// ctest runs).
+// ctest runs). The directory is globbed, so a new file is covered the
+// moment it lands.
 TEST(CampaignGoldenTest, AllShippedCampaignsCompile) {
-  const char* names[] = {
-      "fig3.json",         "fig6.json",
-      "table1.json",       "recuperation_flood.json",
-      "rolling_pipe_vote_flood.json", "newcomer_wave_grade_recovery.json",
-      "pipe_stoppage_demo.json",      "vote_flood_demo.json",
-      "smoke.json",        "churn_baseline.json",
-      "churn_under_brute_force.json", "regional_outage_recovery.json",
-      "operator_response_race.json",  "lossy_links.json",
-      "trace_smoke.json",             "tournament_smoke.json",
-  };
-  for (const char* name : names) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(source_dir() + "/campaigns")) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_FALSE(paths.empty());
+  for (const std::string& path : paths) {
     Spec spec;
     std::string error;
-    ASSERT_TRUE(load_spec_file(source_dir() + "/campaigns/" + name, &spec, &error)) << error;
+    ASSERT_TRUE(load_spec_file(path, &spec, &error)) << error;
     CompiledCampaign compiled;
-    EXPECT_TRUE(compile_campaign(spec, &compiled, &error)) << name << ": " << error;
-    EXPECT_FALSE(compiled.cells.empty()) << name;
+    EXPECT_TRUE(compile_campaign(spec, &compiled, &error)) << path << ": " << error;
+    EXPECT_FALSE(compiled.cells.empty()) << path;
   }
 }
 

@@ -18,7 +18,7 @@
 // Two sweeps are timed, matching the two attack families the paper plots:
 // the pipe-stoppage grid behind Figures 3-5 and the admission-flood grid
 // behind Figures 6-8. Each grid is duration × coverage × seeds plus a
-// replicated baseline, exactly as bench/attrition_sweep.hpp builds it.
+// replicated baseline, the grids of campaigns/fig3.json and fig6.json.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
